@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test race check trace-check chaos-check scale-check megascale-check vcoll-check app-check tune-check fuzz golden bench bench-smoke figures examples tools clean
+.PHONY: all test race check fmt-check trace-check chaos-check scale-check megascale-check vcoll-check app-check tune-check fuzz golden bench bench-smoke figures examples tools clean
 
 all: test
 
@@ -14,15 +14,19 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Full CI gate: build, vet, race-enabled tests (includes the
+# Full CI gate: gofmt, build, vet, race-enabled tests (includes the
 # differential oracle, channel round-trips, golden traces, cmd smoke
 # tests and example builds), then a short fuzz smoke on both targets.
-check: trace-check chaos-check
+check: fmt-check trace-check chaos-check
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test ./internal/conformance -run '^$$' -fuzz FuzzPackUnpack -fuzztime 10s
 	$(GO) test ./internal/conformance -run '^$$' -fuzz FuzzDEVSplit -fuzztime 10s
+
+# Formatting gate: fails when gofmt would rewrite any Go file.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 # Tracing gate: the span recorder under -race, conformance round-trips
 # with tracing asserted (short matrix), and the golden-identical /

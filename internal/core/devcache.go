@@ -56,7 +56,7 @@ type DevCacheStats struct {
 // device run under one simulation scheduler, but independent benchmark
 // worlds may compile plans and probe caches from concurrent goroutines.
 type DevCache struct {
-	mu    sync.Mutex
+	mu     sync.Mutex
 	budget int64
 	used   int64
 	items  map[devKey]*list.Element

@@ -49,8 +49,9 @@ func (pl *Plan) Canonical() *CanonVec { return pl.canon }
 // NumBlocks returns the element's block count.
 func (pl *Plan) NumBlocks() int { return len(pl.blocks) }
 
-// block returns block i of the element.
-func (pl *Plan) block(i int) Block {
+// Block returns block i of the element, computed arithmetically for
+// canonical layouts, so walking a plan never copies the block slice.
+func (pl *Plan) Block(i int) Block {
 	if cv := pl.canon; cv != nil {
 		return Block{Off: cv.BlockOff(int64(i)), Len: cv.BlockLen}
 	}

@@ -72,7 +72,7 @@ func TestPlanBlocksMatchFlat(t *testing.T) {
 			t.Fatalf("%s: plan has %d blocks, flat %d", dt, pl.NumBlocks(), len(flat))
 		}
 		for i, b := range flat {
-			if got := pl.block(i); got != b {
+			if got := pl.Block(i); got != b {
 				t.Errorf("%s: block %d = %+v, want %+v", dt, i, got, b)
 			}
 		}

@@ -7,7 +7,10 @@
 // virtual time for the movement.
 package mem
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Kind distinguishes where a Space physically lives.
 type Kind int
@@ -273,7 +276,16 @@ func FillPattern(b Buffer, seed uint64) {
 // worlds generate the bytes of an arbitrary message window without
 // materializing the buffer around it.
 func patternWord(seed, w uint64) uint64 {
-	x := seed + (w+1)*0x9e3779b97f4a7c15
+	return patternMix(seed + (w+1)*patternGamma)
+}
+
+// patternGamma is the stream's per-word increment: word w's mixer
+// input is seed + (w+1)*patternGamma, so consecutive words differ by
+// one addition.
+const patternGamma = 0x9e3779b97f4a7c15
+
+// patternMix is the splitmix64 finalizer.
+func patternMix(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
@@ -286,20 +298,47 @@ func patternWord(seed, w uint64) uint64 {
 // pattern for seed, starting at stream offset off. SyntheticAt(s, 0, b)
 // followed by reads anywhere is byte-identical to generating windows
 // directly: SyntheticAt(s, off, w) equals the slice [off, off+len(w))
-// of the full stream.
+// of the full stream. Byte o of the stream is byte o&7 (little-endian)
+// of patternWord(seed, o>>3), xored with byte(o).
 func SyntheticAt(seed uint64, off int64, dst []byte) {
 	if off < 0 {
 		panic("mem: negative synthetic pattern offset")
 	}
 	i := 0
-	for i < len(dst) {
-		o := off + int64(i)
-		w := patternWord(seed, uint64(o)>>3)
-		for j := uint(o) & 7; j < 8 && i < len(dst); j++ {
-			dst[i] = byte(w>>(8*j)) ^ byte(off+int64(i))
-			i++
+	if off&7 != 0 {
+		i = syntheticPartial(seed, off, dst)
+	}
+	// Aligned body, one word per step. o is a multiple of 8, so the
+	// position bytes byte(o+k), k < 8, are (o&0xff)+k with no carry
+	// between byte lanes: one multiply-add builds all eight, and the
+	// next word's are eight more per lane until byte(o) wraps to zero.
+	o := uint64(off) + uint64(i)
+	x := seed + (o>>3+1)*patternGamma
+	pos := (o&0xff)*0x0101010101010101 + 0x0706050403020100
+	for ; len(dst)-i >= 8; i += 8 {
+		binary.LittleEndian.PutUint64(dst[i:], patternMix(x)^pos)
+		x += patternGamma
+		pos += 0x0808080808080808
+		if pos < 0x0808080808080808 {
+			pos = 0x0706050403020100
 		}
 	}
+	if i < len(dst) {
+		syntheticPartial(seed, off+int64(i), dst[i:])
+	}
+}
+
+// syntheticPartial writes the stream bytes from offset o up to the end
+// of o's word or of dst, whichever comes first, and returns how many it
+// wrote: the unaligned head and tail of a SyntheticAt window.
+func syntheticPartial(seed uint64, o int64, dst []byte) int {
+	w := patternWord(seed, uint64(o)>>3)
+	i := 0
+	for j := uint(o) & 7; j < 8 && i < len(dst); j++ {
+		dst[i] = byte(w>>(8*j)) ^ byte(o+int64(i))
+		i++
+	}
+	return i
 }
 
 // FillSynthetic fills b with the synthetic pattern for seed (the

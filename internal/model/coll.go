@@ -10,15 +10,15 @@ import (
 // modelled message whose schedule role the receiver decodes from
 // (Kind, From, Round).
 const (
-	kStart int32 = iota + 1
-	kA2A         // flat alltoall: pairwise round payload
-	kAG          // flat allgather: ring hop payload
-	kA2AIn       // hier alltoall: member's whole send buffer -> leader
-	kA2ANode     // hier alltoall: leader<->leader node block
-	kA2ACol      // hier alltoall: leader -> member result column
-	kAGIn        // hier allgather: member contribution -> leader
-	kAGSlab      // hier allgather: leader ring node slab
-	kAGBcast     // hier allgather: assembled buffer down the node tree
+	kStart   int32 = iota + 1
+	kA2A           // flat alltoall: pairwise round payload
+	kAG            // flat allgather: ring hop payload
+	kA2AIn         // hier alltoall: member's whole send buffer -> leader
+	kA2ANode       // hier alltoall: leader<->leader node block
+	kA2ACol        // hier alltoall: leader -> member result column
+	kAGIn          // hier allgather: member contribution -> leader
+	kAGSlab        // hier allgather: leader ring node slab
+	kAGBcast       // hier allgather: assembled buffer down the node tree
 )
 
 // rankSM is one rank's flyweight state machine: the entire per-rank

@@ -1,7 +1,9 @@
 package mpi
 
 import (
+	"encoding/binary"
 	"io"
+	"math/bits"
 
 	"gpuddt/internal/datatype"
 	"gpuddt/internal/mem"
@@ -50,24 +52,21 @@ func (sp SyntheticPayload) Fill(b mem.Buffer) { mem.FillSynthetic(b, sp.Seed) }
 // of a Fill()ed buffer. w is a sha256 digest or a Sig64; neither
 // returns errors.
 func (sp SyntheticPayload) WritePacked(w io.Writer, elem0, n int) {
-	flat := sp.Dt.Flat()
-	ext := sp.Dt.Extent()
-	var scratch [512]byte
-	for e := elem0; e < elem0+n; e++ {
-		base := int64(e) * ext
-		for _, blk := range flat {
-			off, ln := base+blk.Off, blk.Len
-			for ln > 0 {
-				c := ln
-				if c > int64(len(scratch)) {
-					c = int64(len(scratch))
-				}
-				mem.SyntheticAt(sp.Seed, off, scratch[:c])
-				w.Write(scratch[:c])
-				off += c
-				ln -= c
-			}
-		}
+	var buf [packedChunk]byte
+	g := sp.packed(elem0, n)
+	for k := g.fill(buf[:]); k > 0; k = g.fill(buf[:]) {
+		w.Write(buf[:k])
+	}
+}
+
+// Sign folds the packed bytes of elements [elem0, elem0+n) into s. It
+// streams exactly what WritePacked does, without allocating: s is a
+// concrete type, so the chunk buffer stays on the stack.
+func (sp SyntheticPayload) Sign(s *Sig64, elem0, n int) {
+	var buf [packedChunk]byte
+	g := sp.packed(elem0, n)
+	for k := g.fill(buf[:]); k > 0; k = g.fill(buf[:]) {
+		s.Write(buf[:k])
 	}
 }
 
@@ -76,39 +75,125 @@ func (sp SyntheticPayload) WritePacked(w io.Writer, elem0, n int) {
 // messages at 16k ranks.
 func (sp SyntheticPayload) PackedSig(elem0, n int) uint64 {
 	var s Sig64
-	sp.WritePacked(&s, elem0, n)
+	sp.Sign(&s, elem0, n)
 	return s.Sum64()
 }
 
-// Sig64 is a streaming FNV-1a 64-bit signature implementing io.Writer,
-// so the same WritePacked generator feeds both sha256 digests (world
+// packedChunk is the generator's chunk size: small blocks of a layout
+// are batched into one chunk, so the writer sees few large writes.
+const packedChunk = 512
+
+// packedGen regenerates the packed stream of a payload's elements
+// chunk by chunk, walking the blocks of the datatype's compiled plan.
+type packedGen struct {
+	seed   uint64
+	pl     *datatype.Plan
+	nb     int   // blocks per element
+	ext    int64 // element extent
+	e, end int   // current and one-past-last element
+	bi     int   // current block within the element
+	bo     int64 // bytes of the current block already generated
+}
+
+func (sp SyntheticPayload) packed(elem0, n int) packedGen {
+	pl := sp.Dt.Plan()
+	g := packedGen{seed: sp.Seed, pl: pl, nb: pl.NumBlocks(), ext: sp.Dt.Extent(), e: elem0, end: elem0 + n}
+	if g.nb == 0 {
+		g.end = g.e
+	}
+	return g
+}
+
+// fill generates the next packed bytes into buf and returns how many it
+// wrote; zero means the stream is exhausted.
+func (g *packedGen) fill(buf []byte) int {
+	n := 0
+	for n < len(buf) && g.e < g.end {
+		b := g.pl.Block(g.bi)
+		c := b.Len - g.bo
+		if r := int64(len(buf) - n); c > r {
+			c = r
+		}
+		mem.SyntheticAt(g.seed, int64(g.e)*g.ext+b.Off+g.bo, buf[n:n+int(c)])
+		n += int(c)
+		if g.bo += c; g.bo == b.Len {
+			g.bo = 0
+			if g.bi++; g.bi == g.nb {
+				g.bi = 0
+				g.e++
+			}
+		}
+	}
+	return n
+}
+
+// Sig64 is a streaming 64-bit content signature implementing io.Writer,
+// so the same packed-stream generator feeds both sha256 digests (world
 // acceptance) and per-message signatures (in-flight verification).
-type Sig64 struct{ h uint64 }
+//
+// It consumes the stream in little-endian 64-bit lanes, one
+// xxHash64-style round per lane on a single accumulator. A carry buffer
+// holds the incomplete lane between writes, so the signature depends
+// only on the bytes written, never on how Write calls split them. Each
+// round is a bijection of the lane for a fixed accumulator and of the
+// accumulator for a fixed lane, so changing any one byte always changes
+// the state. Signatures are compared only within a run, never stored.
+type Sig64 struct {
+	h     uint64  // accumulator over complete lanes
+	n     uint64  // bytes written
+	carry [8]byte // the first n%8 bytes are the incomplete lane
+}
 
 const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
+	sigPrime1 = 0x9e3779b185ebca87
+	sigPrime2 = 0xc2b2ae3d27d4eb4f
+	sigPrime3 = 0x165667b19e3779f9
 )
+
+func sigRound(h, lane uint64) uint64 {
+	return bits.RotateLeft64(h+lane*sigPrime2, 31) * sigPrime1
+}
 
 // Write folds p into the signature. It never fails.
 func (s *Sig64) Write(p []byte) (int, error) {
-	h := s.h
-	if h == 0 {
-		h = fnvOffset64
+	n := len(p)
+	c := int(s.n & 7)
+	s.n += uint64(n)
+	if c != 0 {
+		k := copy(s.carry[c:], p)
+		if c+k < 8 {
+			return n, nil
+		}
+		s.h = sigRound(s.h, binary.LittleEndian.Uint64(s.carry[:]))
+		p = p[k:]
 	}
-	for _, b := range p {
-		h ^= uint64(b)
-		h *= fnvPrime64
+	h := s.h
+	for ; len(p) >= 8; p = p[8:] {
+		h = sigRound(h, binary.LittleEndian.Uint64(p))
 	}
 	s.h = h
-	return len(p), nil
+	copy(s.carry[:], p)
+	return n, nil
 }
 
-// Sum64 returns the signature so far (never zero, so zero can mean
-// "unsigned" in message fields).
+// Sum64 returns the signature so far: the zero-padded incomplete lane
+// and the byte count folded in, then avalanched. It is never zero, so
+// zero can mean "unsigned" in message fields.
 func (s *Sig64) Sum64() uint64 {
-	if s.h == 0 {
-		return fnvOffset64
+	h := s.h
+	if t := s.n & 7; t != 0 {
+		var lane [8]byte
+		copy(lane[:], s.carry[:t])
+		h = sigRound(h, binary.LittleEndian.Uint64(lane[:]))
 	}
-	return s.h
+	h ^= s.n
+	h ^= h >> 33
+	h *= sigPrime2
+	h ^= h >> 29
+	h *= sigPrime3
+	h ^= h >> 32
+	if h == 0 {
+		return sigPrime1
+	}
+	return h
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+	"sort"
 )
 
 // event is a scheduled callback. Events with equal timestamps execute in
@@ -54,7 +55,8 @@ type Engine struct {
 	queue   eventHeap
 	yieldCh chan yieldKind
 	live    int // spawned but not finished processes
-	blocked map[*Proc]string
+	spawned uint64
+	blocked map[*Proc]struct{}
 	failure interface{}
 	running bool
 	linkSeq uint64
@@ -70,7 +72,7 @@ type Engine struct {
 func NewEngine() *Engine {
 	return &Engine{
 		yieldCh: make(chan yieldKind),
-		blocked: make(map[*Proc]string),
+		blocked: make(map[*Proc]struct{}),
 	}
 }
 
@@ -102,8 +104,38 @@ func (e *Engine) After(d Time, fn func()) {
 type Proc struct {
 	e      *Engine
 	name   string
+	id     uint64 // spawn order, for deterministic deadlock reports
 	daemon bool
 	resume chan struct{}
+
+	// Why the process is parked. Processes park on every sleep and
+	// receive, so the text is formatted only for a deadlock report
+	// (see parkReason).
+	parkKind parkKind
+	parkName string // mailbox or resource name
+	parkDur  Time   // sleep duration
+}
+
+type parkKind uint8
+
+const (
+	parkSleep parkKind = iota
+	parkRecv
+	parkAcquire
+	parkAwait
+)
+
+// parkReason describes why p is parked.
+func (p *Proc) parkReason() string {
+	switch p.parkKind {
+	case parkSleep:
+		return "sleep " + p.parkDur.String()
+	case parkRecv:
+		return "recv " + p.parkName
+	case parkAcquire:
+		return "acquire " + p.parkName
+	}
+	return "await future"
 }
 
 // Name returns the process name given to Spawn.
@@ -130,7 +162,8 @@ func (e *Engine) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
 }
 
 func (e *Engine) spawn(name string, daemon bool, fn func(p *Proc)) *Proc {
-	p := &Proc{e: e, name: name, daemon: daemon, resume: make(chan struct{})}
+	e.spawned++
+	p := &Proc{e: e, name: name, id: e.spawned, daemon: daemon, resume: make(chan struct{})}
 	if !daemon {
 		e.live++
 	}
@@ -180,11 +213,13 @@ func (e *Engine) waitYield(p *Proc) {
 	}
 }
 
-// park yields control to the engine, recording why the process is blocked;
-// the process resumes when something sends on p.resume (via unpark), or
-// unwinds if the engine has shut down.
-func (p *Proc) park(why string) {
-	p.e.blocked[p] = why
+// park yields control to the engine, recording why the process is
+// blocked (kind plus the name or duration it refers to); the process
+// resumes when something sends on p.resume (via unpark), or unwinds if
+// the engine has shut down.
+func (p *Proc) park(kind parkKind, name string, d Time) {
+	p.parkKind, p.parkName, p.parkDur = kind, name, d
+	p.e.blocked[p] = struct{}{}
 	p.e.yieldCh <- yieldBlocked
 	if _, ok := <-p.resume; !ok {
 		panic(errShutdown)
@@ -207,7 +242,7 @@ func (p *Proc) Sleep(d Time) {
 		d = 0
 	}
 	p.e.unpark(p, p.e.now+d)
-	p.park(fmt.Sprintf("sleep %v", d))
+	p.park(parkSleep, "", d)
 }
 
 // Yield lets every other event already scheduled for the current instant
@@ -234,11 +269,16 @@ func (e *Engine) Run() {
 		}
 	}
 	if e.live > 0 {
-		msg := fmt.Sprintf("sim: deadlock at %v; blocked process(es):", e.now)
-		for p, why := range e.blocked {
+		var stuck []*Proc
+		for p := range e.blocked {
 			if !p.daemon {
-				msg += fmt.Sprintf("\n  %s: %s", p.name, why)
+				stuck = append(stuck, p)
 			}
+		}
+		sort.Slice(stuck, func(i, j int) bool { return stuck[i].id < stuck[j].id })
+		msg := fmt.Sprintf("sim: deadlock at %v; blocked process(es):", e.now)
+		for _, p := range stuck {
+			msg += fmt.Sprintf("\n  %s: %s", p.name, p.parkReason())
 		}
 		panic(msg)
 	}

@@ -230,6 +230,54 @@ func TestDeadlockPanics(t *testing.T) {
 	e.Run()
 }
 
+// deadlockReport runs an engine whose three non-daemon processes all
+// end up blocked (on a future, a resource and a mailbox) and returns
+// the deadlock panic text.
+func deadlockReport() (msg string) {
+	defer func() { msg = fmt.Sprint(recover()) }()
+	e := NewEngine()
+	never := e.NewFuture()
+	r := e.NewResource("nic", 1)
+	m := e.NewMailbox("inbox")
+	e.Spawn("holder", func(p *Proc) {
+		r.Acquire(p)
+		never.Await(p)
+	})
+	e.Spawn("waiter", func(p *Proc) {
+		p.Sleep(2 * Microsecond)
+		r.Acquire(p)
+	})
+	e.Spawn("reader", func(p *Proc) { m.Get(p) })
+	e.SpawnDaemon("idle", func(p *Proc) { m.Get(p) })
+	e.Run()
+	return ""
+}
+
+// TestDeadlockReportDeterministic: the report names every blocked
+// non-daemon process with its park reason, in spawn order, so it is
+// byte-identical from run to run.
+func TestDeadlockReportDeterministic(t *testing.T) {
+	want := "sim: deadlock at 2.00us; blocked process(es):" +
+		"\n  holder: await future" +
+		"\n  waiter: acquire nic" +
+		"\n  reader: recv inbox"
+	for i := 0; i < 20; i++ {
+		if got := deadlockReport(); got != want {
+			t.Fatalf("run %d: report\n%s\nwant\n%s", i, got, want)
+		}
+	}
+}
+
+// TestParkReasonSleep: the lazily formatted sleep reason reads as the
+// eager "sleep %v" did.
+func TestParkReasonSleep(t *testing.T) {
+	d := 1500 * Nanosecond
+	p := &Proc{parkKind: parkSleep, parkDur: d}
+	if got, want := p.parkReason(), fmt.Sprintf("sleep %v", d); got != want {
+		t.Fatalf("reason %q, want %q", got, want)
+	}
+}
+
 func TestProcessPanicPropagates(t *testing.T) {
 	defer func() {
 		r := recover()
@@ -340,4 +388,18 @@ func TestYieldOrdersWithQueuedEvents(t *testing.T) {
 	if len(order) != 2 || order[0] != "event" || order[1] != "resumed" {
 		t.Fatalf("order = %v", order)
 	}
+}
+
+// BenchmarkEngineSleep measures one Sleep: an event push and pop, two
+// goroutine handoffs and the park bookkeeping.
+func BenchmarkEngineSleep(b *testing.B) {
+	e := NewEngine()
+	e.Spawn("sleeper", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Sleep(Nanosecond)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
 }

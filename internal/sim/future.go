@@ -54,7 +54,7 @@ func (f *Future) Await(p *Proc) interface{} {
 		return f.value
 	}
 	f.waiters = append(f.waiters, p)
-	p.park("await future")
+	p.park(parkAwait, "", 0)
 	return f.value
 }
 

@@ -40,7 +40,7 @@ func (m *Mailbox) PutAfter(d Time, v interface{}) {
 func (m *Mailbox) Get(p *Proc) interface{} {
 	for len(m.items) == 0 {
 		m.waiters = append(m.waiters, p)
-		p.park("recv " + m.name)
+		p.park(parkRecv, m.name, 0)
 	}
 	v := m.items[0]
 	m.items[0] = nil

@@ -30,7 +30,7 @@ func (r *Resource) InUse() int { return r.inUse }
 func (r *Resource) Acquire(p *Proc) {
 	for r.inUse >= r.cap {
 		r.waiters = append(r.waiters, p)
-		p.park("acquire " + r.name)
+		p.park(parkAcquire, r.name, 0)
 	}
 	r.inUse++
 }
