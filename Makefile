@@ -14,9 +14,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Full CI gate: gofmt, build, vet, race-enabled tests (includes the
-# differential oracle, channel round-trips, golden traces, cmd smoke
-# tests and example builds), then a short fuzz smoke on both targets.
+# Full CI gate: gofmt, the tracing and chaos gates, build, vet,
+# race-enabled tests (includes the differential oracle, channel
+# round-trips, golden traces, cmd smoke tests and example builds), then
+# a short fuzz smoke on both targets.
 check: fmt-check trace-check chaos-check
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -114,7 +115,7 @@ app-check:
 	cmp /tmp/apps-a.json /tmp/apps-b.json
 
 # Auto-tuning gate: the Tuning API resolution tests (pointer-or-
-# sentinel eager semantics, legacy ProtoOptions equivalence), the
+# sentinel eager semantics, resolved defaults), the
 # in-network reduction oracle (switch vs flat bit-identity under
 # -race), the tuner determinism + table round-trip + version/corruption
 # rejection suite, the pinned >= 1.2x tuned-vs-default speedup on an

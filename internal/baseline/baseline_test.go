@@ -112,8 +112,8 @@ func TestMVAPICHStrategyCorrectAndSlower(t *testing.T) {
 	dt := shapes.LowerTriangular(n)
 	run := func(strategy mpi.Strategy) (img []byte, dur sim.Time) {
 		w := mpi.NewWorld(mpi.Config{
-			Ranks:    []mpi.Placement{{Node: 0, GPU: 0}, {Node: 0, GPU: 1}},
-			Strategy: strategy,
+			Ranks:  []mpi.Placement{{Node: 0, GPU: 0}, {Node: 0, GPU: 1}},
+			Tuning: &mpi.Tuning{Strategy: strategy},
 		})
 		var rbuf mem.Buffer
 		span := int64(n*n) * 8
@@ -154,8 +154,8 @@ func TestMVAPICHVectorCloserButStillSlower(t *testing.T) {
 	dt := shapes.SubMatrix(n, n, n)
 	run := func(strategy mpi.Strategy) sim.Time {
 		w := mpi.NewWorld(mpi.Config{
-			Ranks:    []mpi.Placement{{Node: 0, GPU: 0}, {Node: 1, GPU: 0}},
-			Strategy: strategy,
+			Ranks:  []mpi.Placement{{Node: 0, GPU: 0}, {Node: 1, GPU: 0}},
+			Tuning: &mpi.Tuning{Strategy: strategy},
 		})
 		var dur sim.Time
 		w.Run(func(m *mpi.Rank) {
@@ -193,8 +193,8 @@ func TestMVAPICHPartialReceive(t *testing.T) {
 	sendDt := datatype.Contiguous(sentElems, datatype.Float64)
 	recvDt := shapes.SubMatrix(512, 256, 512)
 	w := mpi.NewWorld(mpi.Config{
-		Ranks:    []mpi.Placement{{Node: 0, GPU: 0}, {Node: 0, GPU: 1}},
-		Strategy: &MVAPICHStrategy{},
+		Ranks:  []mpi.Placement{{Node: 0, GPU: 0}, {Node: 0, GPU: 1}},
+		Tuning: &mpi.Tuning{Strategy: &MVAPICHStrategy{}},
 	})
 	var sent, got []byte
 	w.Run(func(m *mpi.Rank) {

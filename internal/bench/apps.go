@@ -68,10 +68,9 @@ func AppParticles(nParticles, recordElems, iters int, strategy mpi.Strategy) sim
 	}
 	ddt := shapes.ParticleIndices(idx, recordElems)
 	recv := datatype.Contiguous(len(idx)*recordElems, datatype.Float64)
-	cfg := cluster.TwoNode().Config()
+	cfg := cluster.TwoNode().Tuned(&mpi.Tuning{Strategy: strategy}).Config()
 	cfg.GPU = bigGPU()
 	cfg.PCIe = bigPCIe()
-	cfg.Strategy = strategy
 	w := mpi.NewWorld(cfg)
 	attachTrace(w.Engine(), "app:particles")
 	defer w.Close()
@@ -99,10 +98,9 @@ func AppParticles(nParticles, recordElems, iters int, strategy mpi.Strategy) sim
 // the ScaLAPACK layout) from a 2x2 process grid onto rank 0, each piece
 // arriving as packed contiguous data.
 func AppScaLAPACK(n, nb int, strategy mpi.Strategy) sim.Time {
-	cfg := cluster.Spec{Nodes: 2, GPUsPerNode: 2, RanksPerNode: 2}.Config()
+	cfg := cluster.Spec{Nodes: 2, GPUsPerNode: 2, RanksPerNode: 2, Tuning: &mpi.Tuning{Strategy: strategy}}.Config()
 	cfg.GPU = bigGPU()
 	cfg.PCIe = bigPCIe()
-	cfg.Strategy = strategy
 	w := mpi.NewWorld(cfg)
 	attachTrace(w.Engine(), "app:scalapack")
 	defer w.Close()

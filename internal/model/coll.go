@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 
+	"gpuddt/internal/mpi"
 	"gpuddt/internal/sim"
 )
 
@@ -132,7 +133,7 @@ func (a *rankSM) a2aFlat(sc *sim.ShardCtx, ev sim.Event) {
 
 func (a *rankSM) sendA2A(sc *sim.ShardCtx, s int32) {
 	w := a.w
-	to, _ := pair(w.p, int(a.r), int(s))
+	to, _ := mpi.PairwisePeers(w.p, int(a.r), int(s))
 	w.send(sc, a.r, sim.ActorID(to), kA2A, s, w.b)
 }
 
@@ -243,7 +244,7 @@ func (a *rankSM) a2aStartInter(sc *sim.ShardCtx) {
 
 func (a *rankSM) sendNode(sc *sim.ShardCtx, s int32) {
 	w := a.w
-	dNode, _ := pair(w.nodes, a.node, int(s))
+	dNode, _ := mpi.PairwisePeers(w.nodes, a.node, int(s))
 	w.send(sc, a.r, sim.ActorID(dNode*w.rpn), kA2ANode, s, int64(w.rpn)*int64(w.rpn)*w.b)
 }
 
@@ -337,7 +338,7 @@ func (a *rankSM) agBcastDown(sc *sim.ShardCtx) {
 
 // forwardBcast sends the assembled buffer to this rank's children in
 // the intra-node binomial broadcast tree (the same vrank/mask walk the
-// real bcastFlat performs; the leader is vrank 0).
+// real bcastBinomial performs; the leader is vrank 0).
 func (a *rankSM) forwardBcast(sc *sim.ShardCtx) {
 	w := a.w
 	vr := a.li

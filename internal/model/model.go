@@ -55,7 +55,7 @@ const (
 // pack constants approximate a GPU pack kernel (launch overhead plus
 // streaming rate) rather than re-simulating the pipeline.
 const (
-	modelEager     = 64 << 10             // mpi Proto.EagerLimit default
+	modelEager     = 64 << 10             // mpi Tuning.Eager default
 	modelAMLatency = 500 * sim.Nanosecond // intra-node active-message hop
 	packLaunch     = 5 * sim.Microsecond  // per-message pack/unpack kernel launch
 	packGBps       = 60.0                 // pack/unpack streaming rate
@@ -685,16 +685,4 @@ func (w *world) footprint() int64 {
 	n += int64(len(w.colSig)) * 8
 	n += int64(w.se.HeapPeak()) * int64(unsafe.Sizeof(sim.Event{}))
 	return n
-}
-
-// pair returns the round-s exchange partners of rank r among n peers:
-// the recursive-doubling XOR pairing when n is a power of two, the
-// shifted ring otherwise (the same pairing the real pairwise schedules
-// use).
-func pair(n, r, s int) (to, from int) {
-	if n&(n-1) == 0 {
-		t := r ^ s
-		return t, t
-	}
-	return (r + s) % n, (r - s + n) % n
 }

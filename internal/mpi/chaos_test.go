@@ -11,10 +11,10 @@ import (
 	"gpuddt/internal/sim"
 )
 
-// chaosProto forces the rendezvous pipeline through many small
+// chaosTuning forces the rendezvous pipeline through many small
 // fragments so faults land mid-protocol, not just at the handshake.
-func chaosProto() ProtoOptions {
-	return ProtoOptions{EagerLimit: 1, FragBytes: 8 << 10}
+func chaosTuning() *Tuning {
+	return &Tuning{Eager: Eager(0), FragBytes: 8 << 10}
 }
 
 // chaosXfer runs one non-contiguous GPU-to-GPU transfer under the given
@@ -47,7 +47,7 @@ func chaosXfer(t *testing.T, cfg Config, rec **sim.Recorder) (*World, bool) {
 
 func TestChaosTransientFaultsRecovered(t *testing.T) {
 	cfg := twoRanksTwoGPUs()
-	cfg.Proto = chaosProto()
+	cfg.Tuning = chaosTuning()
 	cfg.Faults = fault.NewPlan(7, 0.15)
 	var rec *sim.Recorder
 	w, ok := chaosXfer(t, cfg, &rec)
@@ -67,7 +67,7 @@ func TestChaosTransientFaultsRecovered(t *testing.T) {
 // abandoned attempt returned every scratch and ring slab to its pool.
 func TestChaosScratchNoLeak(t *testing.T) {
 	cfg := twoRanksTwoGPUs()
-	cfg.Proto = chaosProto()
+	cfg.Tuning = chaosTuning()
 	cfg.Faults = fault.NewPlan(11, 0)
 	cfg.Faults.Persistent[fault.IPCOpen] = true
 	var rec *sim.Recorder
@@ -95,7 +95,7 @@ func TestChaosScratchNoLeak(t *testing.T) {
 func TestChaosDeterminism(t *testing.T) {
 	run := func(seed uint64) (sim.Time, map[fault.Site]int64) {
 		cfg := twoRanksTwoGPUs()
-		cfg.Proto = chaosProto()
+		cfg.Tuning = chaosTuning()
 		cfg.Faults = fault.NewPlan(seed, 0.12)
 		w, ok := chaosXfer(t, cfg, nil)
 		if !ok {
@@ -131,7 +131,7 @@ func TestChaosConcurrentRetries(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			cfg := twoRanksTwoGPUs()
-			cfg.Proto = chaosProto()
+			cfg.Tuning = chaosTuning()
 			cfg.Faults = fault.NewPlan(uint64(100+i), 0.1)
 			if i%2 == 1 {
 				cfg.Faults.Persistent[fault.IPCOpen] = true

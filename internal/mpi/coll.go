@@ -58,37 +58,7 @@ func (m *Rank) bcast(p *sim.Proc, tag int, buf mem.Buffer, dt *datatype.Datatype
 		m.hierBcast(p, tag, buf, dt, count, root)
 		return
 	}
-	m.bcastFlat(p, tag, buf, dt, count, root)
-}
-
-// bcastFlat is the topology-blind binomial broadcast.
-func (m *Rank) bcastFlat(p *sim.Proc, tag int, buf mem.Buffer, dt *datatype.Datatype, count, root int) {
-	size := m.Size()
-	if size == 1 {
-		return
-	}
-	// Rotate ranks so the root is virtual rank 0.
-	vrank := (m.rank - root + size) % size
-
-	// Receive from the parent (highest set bit), then forward to
-	// children in decreasing mask order — the classic binomial tree.
-	mask := 1
-	for mask < size {
-		if vrank&mask != 0 {
-			parent := ((vrank - mask) + root) % size
-			m.recvOn(p, buf, dt, count, parent, tag)
-			break
-		}
-		mask <<= 1
-	}
-	mask >>= 1
-	for mask > 0 {
-		if vrank+mask < size && vrank&(mask-1) == 0 && vrank&mask == 0 {
-			child := (vrank + mask + root) % size
-			m.sendOn(p, buf, dt, count, child, tag)
-		}
-		mask >>= 1
-	}
+	m.bcastBinomial(p, m.w.ids, m.rank, root, tag, buf, dt, count)
 }
 
 // Allgather gathers each rank's count elements of dt (read from its slot
@@ -107,32 +77,8 @@ func (m *Rank) allgather(p *sim.Proc, tag int, buf mem.Buffer, dt *datatype.Data
 		m.hierAllgather(p, tag, buf, dt, count)
 		return
 	}
-	m.allgatherFlat(p, tag, buf, dt, count)
-}
-
-// allgatherFlat is the topology-blind ring algorithm.
-func (m *Rank) allgatherFlat(p *sim.Proc, tag int, buf mem.Buffer, dt *datatype.Datatype, count int) {
-	size := m.Size()
-	if size == 1 {
-		return
-	}
-	stride := int64(count) * dt.Extent()
-	sliceLen := spanOf(dt, count)
-	slot := func(r int) mem.Buffer {
-		return buf.Slice(int64(r)*stride, sliceLen)
-	}
-	right := (m.rank + 1) % size
-	left := (m.rank - 1 + size) % size
-	// In step s, send the block originally owned by (rank-s) to the
-	// right neighbour and receive block (rank-s-1) from the left.
-	for s := 0; s < size-1; s++ {
-		sendBlk := (m.rank - s + size) % size
-		recvBlk := (m.rank - s - 1 + size) % size
-		sreq := m.isendOn(p, slot(sendBlk), dt, count, right, tag+s)
-		rreq := m.Irecv(slot(recvBlk), dt, count, left, tag+s)
-		sreq.Wait(p)
-		rreq.Wait(p)
-	}
+	blk := slots(buf, dt, count)
+	m.ring(p, m.w.ids, m.rank, 0, tag, blk, blk, nil)
 }
 
 // spanOf is the memory footprint of (dt, count) from the origin.

@@ -7,74 +7,27 @@ import (
 )
 
 // Gather collects each rank's (sendBuf, sdt, scount) into rank root's
-// recvBuf, where slot r starts at r*rcount*extent(rdt). Linear
-// algorithm; non-root ranks pass an invalid recvBuf.
+// recvBuf, where slot r starts at r*rcount*extent(rdt): the linear
+// Gatherv schedule with uniform blocks. Non-root ranks pass an invalid
+// recvBuf.
 func (m *Rank) Gather(sendBuf mem.Buffer, sdt *datatype.Datatype, scount int,
 	recvBuf mem.Buffer, rdt *datatype.Datatype, rcount, root int) {
-	m.gather(m.p, m.tagBlock(m.gatherTags()), sendBuf, sdt, scount, recvBuf, rdt, rcount, root)
-}
-
-func (m *Rank) gather(p *sim.Proc, tag int, sendBuf mem.Buffer, sdt *datatype.Datatype, scount int,
-	recvBuf mem.Buffer, rdt *datatype.Datatype, rcount, root int) {
-	size := m.Size()
-	if m.rank != root {
-		m.sendOn(p, sendBuf, sdt, scount, root, tag+m.rank)
-		return
-	}
-	stride := int64(rcount) * rdt.Extent()
-	sliceLen := spanOf(rdt, rcount)
-	reqs := make([]*Request, 0, size-1)
-	for r := 0; r < size; r++ {
-		slot := recvBuf.Slice(int64(r)*stride, sliceLen)
-		if r == root {
-			// Local copy through the datatype engines.
-			m.localCopy(p, sendBuf, sdt, scount, slot, rdt, rcount)
-			continue
-		}
-		reqs = append(reqs, m.Irecv(slot, rdt, rcount, r, tag+r))
-	}
-	for _, rq := range reqs {
-		rq.Wait(p)
-	}
+	m.gatherv(m.p, m.tagBlock(m.gatherTags()), sendBuf, sdt, scount, slots(recvBuf, rdt, rcount), root)
 }
 
 // Scatter distributes slot r of root's sendBuf (r*scount*extent(sdt))
-// to rank r's recvBuf. Linear algorithm.
+// to rank r's recvBuf: the linear Scatterv schedule with uniform blocks.
 func (m *Rank) Scatter(sendBuf mem.Buffer, sdt *datatype.Datatype, scount int,
 	recvBuf mem.Buffer, rdt *datatype.Datatype, rcount, root int) {
-	m.scatter(m.p, m.tagBlock(m.gatherTags()), sendBuf, sdt, scount, recvBuf, rdt, rcount, root)
-}
-
-func (m *Rank) scatter(p *sim.Proc, tag int, sendBuf mem.Buffer, sdt *datatype.Datatype, scount int,
-	recvBuf mem.Buffer, rdt *datatype.Datatype, rcount, root int) {
-	size := m.Size()
-	if m.rank != root {
-		m.recvOn(p, recvBuf, rdt, rcount, root, tag+m.rank)
-		return
-	}
-	stride := int64(scount) * sdt.Extent()
-	sliceLen := spanOf(sdt, scount)
-	reqs := make([]*Request, 0, size-1)
-	for r := 0; r < size; r++ {
-		slot := sendBuf.Slice(int64(r)*stride, sliceLen)
-		if r == root {
-			m.localCopy(p, slot, sdt, scount, recvBuf, rdt, rcount)
-			continue
-		}
-		reqs = append(reqs, m.isendOn(p, slot, sdt, scount, r, tag+r))
-	}
-	for _, rq := range reqs {
-		rq.Wait(p)
-	}
+	m.scatterv(m.p, m.tagBlock(m.gatherTags()), slots(sendBuf, sdt, scount), recvBuf, rdt, rcount, root)
 }
 
 // Alltoall exchanges slot j of every rank's sendBuf with slot i of rank
 // j's recvBuf (the building block of distributed transposes and FFTs).
 // Topology-aware worlds aggregate each node's traffic at its leader and
 // exchange one large message per node pair over the IB tier instead of
-// ranks-squared small ones; otherwise the flat pairwise exchange runs:
-// step s pairs rank with rank^s when the size is a power of two, and
-// (rank+s, rank-s) otherwise.
+// ranks-squared small ones; otherwise the flat pairwise exchange runs
+// (see PairwisePeers).
 func (m *Rank) Alltoall(sendBuf mem.Buffer, sdt *datatype.Datatype, scount int,
 	recvBuf mem.Buffer, rdt *datatype.Datatype, rcount int) {
 	m.alltoall(m.p, m.tagBlock(m.alltoallTags()), sendBuf, sdt, scount, recvBuf, rdt, rcount)
@@ -86,38 +39,9 @@ func (m *Rank) alltoall(p *sim.Proc, tag int, sendBuf mem.Buffer, sdt *datatype.
 		m.hierAlltoall(p, tag, sendBuf, sdt, scount, recvBuf, rdt, rcount)
 		return
 	}
-	m.alltoallFlat(p, tag, sendBuf, sdt, scount, recvBuf, rdt, rcount)
-}
-
-// alltoallFlat is the topology-blind pairwise exchange.
-func (m *Rank) alltoallFlat(p *sim.Proc, tag int, sendBuf mem.Buffer, sdt *datatype.Datatype, scount int,
-	recvBuf mem.Buffer, rdt *datatype.Datatype, rcount int) {
-	size := m.Size()
-	sstride := int64(scount) * sdt.Extent()
-	rstride := int64(rcount) * rdt.Extent()
-	sLen := spanOf(sdt, scount)
-	rLen := spanOf(rdt, rcount)
-
-	// Local slot first.
-	m.localCopy(p,
-		sendBuf.Slice(int64(m.rank)*sstride, sLen), sdt, scount,
-		recvBuf.Slice(int64(m.rank)*rstride, rLen), rdt, rcount)
-
-	pow2 := size&(size-1) == 0
-	for s := 1; s < size; s++ {
-		var sendTo, recvFrom int
-		if pow2 {
-			sendTo = m.rank ^ s
-			recvFrom = sendTo
-		} else {
-			sendTo = (m.rank + s) % size
-			recvFrom = (m.rank - s + size) % size
-		}
-		sreq := m.isendOn(p, sendBuf.Slice(int64(sendTo)*sstride, sLen), sdt, scount, sendTo, tag)
-		rreq := m.Irecv(recvBuf.Slice(int64(recvFrom)*rstride, rLen), rdt, rcount, recvFrom, tag)
-		sreq.Wait(p)
-		rreq.Wait(p)
-	}
+	send, recv := slots(sendBuf, sdt, scount), slots(recvBuf, rdt, rcount)
+	m.copyBlock(p, send, recv, m.rank)
+	m.pairwise(p, m.w.ids, m.rank, tag, send, recv)
 }
 
 // localCopy moves (src, sdt, scount) into (dst, rdt, rcount) within the

@@ -119,41 +119,13 @@ func (g *Group) tagBlock(lr, n int) int {
 	return t
 }
 
-// tokenDT is the 8-byte barrier token.
-var tokenDT = datatype.Contiguous(1, datatype.Int64)
-
-// barrierRounds is ceil(log2(size)), the dissemination round count.
-func barrierRounds(size int) int {
-	n := 0
-	for k := 1; k < size; k <<= 1 {
-		n++
-	}
-	return n
-}
-
 // Barrier blocks until every group member has entered it
 // (dissemination algorithm over point-to-point token messages; only
 // group traffic, so two jobs' barriers are fully independent).
 func (g *Group) Barrier(m *Rank) {
-	size := len(g.ranks)
 	lr := g.LocalRank(m)
-	tag := g.tagBlock(lr, barrierRounds(size))
-	if size == 1 {
-		return
-	}
-	p := m.p
-	tok := m.scratch(8)
-	in := m.scratch(8)
-	for s, k := 0, 1; k < size; s, k = s+1, k<<1 {
-		to := g.ranks[(lr+k)%size]
-		from := g.ranks[(lr-k+size)%size]
-		sreq := m.isendOn(p, tok.Slice(0, 8), tokenDT, 1, to, tag+s)
-		rreq := m.Irecv(in.Slice(0, 8), tokenDT, 1, from, tag+s)
-		sreq.Wait(p)
-		rreq.Wait(p)
-	}
-	m.freeScratch(in)
-	m.freeScratch(tok)
+	tag := g.tagBlock(lr, barrierRounds(len(g.ranks)))
+	m.dissemination(m.p, g.ranks, lr, tag)
 }
 
 // Allreduce combines count elements of dt (a contiguous single-primitive
@@ -172,7 +144,7 @@ func (g *Group) Allreduce(m *Rank, sendBuf, recvBuf mem.Buffer, dt *datatype.Dat
 		g.allreduceRing(m, p, tag, lr, sendBuf, recvBuf, dt, count, prim, op)
 	case AllreduceTree:
 		tag := g.tagBlock(lr, m.Size()+1)
-		g.allreduceTree(m, p, tag, sendBuf, recvBuf, dt, count, prim, op)
+		g.allreduceTree(m, p, tag, lr, sendBuf, recvBuf, dt, count, prim, op)
 	default:
 		panic("mpi: unknown allreduce algorithm")
 	}
@@ -182,40 +154,12 @@ func (g *Group) Allreduce(m *Rank, sendBuf, recvBuf mem.Buffer, dt *datatype.Dat
 // binomial broadcast of the result. Every member accumulates in its own
 // recvBuf (valid everywhere for an allreduce), so no extra staging is
 // needed beyond binomialReduce's internal receive buffer.
-func (g *Group) allreduceTree(m *Rank, p *sim.Proc, tag int, sendBuf, recvBuf mem.Buffer, dt *datatype.Datatype, count int, prim datatype.Primitive, op Op) {
+func (g *Group) allreduceTree(m *Rank, p *sim.Proc, tag, lr int, sendBuf, recvBuf mem.Buffer, dt *datatype.Datatype, count int, prim datatype.Primitive, op Op) {
 	n := int64(count) * dt.Size()
 	acc := recvBuf.Slice(0, n)
 	m.localCopy(p, sendBuf, dt, count, acc, dt, count)
-	m.binomialReduce(p, g.ranks, 0, acc, dt, count, prim, op, tag)
-	g.bcastLocal(m, p, tag+m.Size(), recvBuf.Slice(0, n), dt, count, 0)
-}
-
-// bcastLocal is the binomial broadcast over the group from group index
-// rootIdx, using a single tag (every hop is a distinct rank pair).
-func (g *Group) bcastLocal(m *Rank, p *sim.Proc, tag int, buf mem.Buffer, dt *datatype.Datatype, count, rootIdx int) {
-	size := len(g.ranks)
-	if size == 1 {
-		return
-	}
-	lr := g.LocalRank(m)
-	vrank := (lr - rootIdx + size) % size
-	mask := 1
-	for mask < size {
-		if vrank&mask != 0 {
-			parent := g.ranks[((vrank-mask)+rootIdx)%size]
-			m.recvOn(p, buf, dt, count, parent, tag)
-			break
-		}
-		mask <<= 1
-	}
-	mask >>= 1
-	for mask > 0 {
-		if vrank+mask < size && vrank&(mask-1) == 0 && vrank&mask == 0 {
-			child := g.ranks[(vrank+mask+rootIdx)%size]
-			m.sendOn(p, buf, dt, count, child, tag)
-		}
-		mask >>= 1
-	}
+	m.binomialReduce(p, g.ranks, lr, 0, tag, acc, dt, count, prim, op)
+	m.bcastBinomial(p, g.ranks, lr, 0, tag+m.Size(), recvBuf.Slice(0, n), dt, count)
 }
 
 // chunkOff returns the byte offset of ring chunk c when n bytes of
@@ -237,20 +181,13 @@ func (g *Group) allreduceRing(m *Rank, p *sim.Proc, tag, lr int, sendBuf, recvBu
 	if size == 1 || n == 0 {
 		return
 	}
-	right := g.ranks[(lr+1)%size]
-	left := g.ranks[(lr-1+size)%size]
-
-	chunk := func(c int) mem.Buffer {
-		lo, hi := chunkOff(n, size, c), chunkOff(n, size, c+1)
-		return recvBuf.Slice(lo, hi-lo)
+	base := datatype.Float64
+	if prim == datatype.PrimInt64 {
+		base = datatype.Int64
 	}
-	chunkDT := func(c int) (*datatype.Datatype, int) {
+	chunk := func(c int) (mem.Buffer, *datatype.Datatype, int) {
 		lo, hi := chunkOff(n, size, c), chunkOff(n, size, c+1)
-		base := datatype.Float64
-		if prim == datatype.PrimInt64 {
-			base = datatype.Int64
-		}
-		return base, int((hi - lo) / 8)
+		return recvBuf.Slice(lo, hi-lo), base, int((hi - lo) / 8)
 	}
 
 	// Receive staging for the combine phase, in the accumulator's
@@ -269,49 +206,19 @@ func (g *Group) allreduceRing(m *Rank, p *sim.Proc, tag, lr int, sendBuf, recvBu
 			tmp = m.scratch(maxChunk)
 		}
 	}
-
-	// Reduce-scatter.
-	for s := 0; s < size-1; s++ {
-		sc := (lr - s + size*2) % size
-		rc := (lr - s - 1 + size*2) % size
-		sdt, scount := chunkDT(sc)
-		rdt, rcount := chunkDT(rc)
-		var sreq, rreq *Request
-		if scount > 0 {
-			sreq = m.isendOn(p, chunk(sc), sdt, scount, right, tag+s)
-		}
-		if rcount > 0 {
-			rreq = m.Irecv(tmp.Slice(0, int64(rcount)*8), rdt, rcount, left, tag+s)
-		}
-		if sreq != nil {
-			sreq.Wait(p)
-		}
-		if rreq != nil {
-			rreq.Wait(p)
-			m.combine(p, chunk(rc), tmp.Slice(0, int64(rcount)*8), prim, op)
-		}
+	staged := func(c int) (mem.Buffer, *datatype.Datatype, int) {
+		_, cdt, k := chunk(c)
+		return tmp.Slice(0, int64(k)*8), cdt, k
+	}
+	combine := func(c int) {
+		acc, _, k := chunk(c)
+		m.combine(p, acc, tmp.Slice(0, int64(k)*8), prim, op)
 	}
 
-	// Allgather of the combined chunks.
-	for s := 0; s < size-1; s++ {
-		sc := (lr + 1 - s + size*2) % size
-		rc := (lr - s + size*2) % size
-		sdt, scount := chunkDT(sc)
-		rdt, rcount := chunkDT(rc)
-		var sreq, rreq *Request
-		if scount > 0 {
-			sreq = m.isendOn(p, chunk(sc), sdt, scount, right, tag+size-1+s)
-		}
-		if rcount > 0 {
-			rreq = m.Irecv(chunk(rc), rdt, rcount, left, tag+size-1+s)
-		}
-		if sreq != nil {
-			sreq.Wait(p)
-		}
-		if rreq != nil {
-			rreq.Wait(p)
-		}
-	}
+	// Reduce-scatter, then the allgather of the combined chunks: after
+	// the first ring member lr owns chunk lr+1, where the second starts.
+	m.ring(p, g.ranks, lr, 0, tag, chunk, staged, combine)
+	m.ring(p, g.ranks, lr, 1, tag+size-1, chunk, chunk, nil)
 
 	if tmp.IsValid() {
 		if tmp.Kind() == mem.Device {
@@ -334,39 +241,10 @@ func (g *Group) Alltoallv(m *Rank, sendBuf mem.Buffer, scounts, sdispls []int, s
 	checkVArgs("group Alltoallv", size, scounts, sdispls)
 	checkVArgs("group Alltoallv", size, rcounts, rdispls)
 	lr := g.LocalRank(m)
-	p := m.p
 	tag := g.tagBlock(lr, 1)
-
-	// Local block first.
-	if int64(scounts[lr])*sdt.Size() > 0 {
-		m.localCopy(p,
-			vslot(sendBuf, sdt, scounts[lr], sdispls[lr]), sdt, scounts[lr],
-			vslot(recvBuf, rdt, rcounts[lr], rdispls[lr]), rdt, rcounts[lr])
-	}
-	pow2 := size&(size-1) == 0
-	for s := 1; s < size; s++ {
-		var st, rf int
-		if pow2 {
-			st = lr ^ s
-			rf = st
-		} else {
-			st = (lr + s) % size
-			rf = (lr - s + size) % size
-		}
-		var sreq, rreq *Request
-		if int64(scounts[st])*sdt.Size() > 0 {
-			sreq = m.isendOn(p, vslot(sendBuf, sdt, scounts[st], sdispls[st]), sdt, scounts[st], g.ranks[st], tag)
-		}
-		if int64(rcounts[rf])*rdt.Size() > 0 {
-			rreq = m.Irecv(vslot(recvBuf, rdt, rcounts[rf], rdispls[rf]), rdt, rcounts[rf], g.ranks[rf], tag)
-		}
-		if sreq != nil {
-			sreq.Wait(p)
-		}
-		if rreq != nil {
-			rreq.Wait(p)
-		}
-	}
+	send, recv := vblocks(sendBuf, sdt, scounts, sdispls), vblocks(recvBuf, rdt, rcounts, rdispls)
+	m.copyBlock(m.p, send, recv, lr)
+	m.pairwise(m.p, g.ranks, lr, tag, send, recv)
 }
 
 // SendRecvLocal exchanges (count, dt) messages with two group members
@@ -376,18 +254,5 @@ func (g *Group) SendRecvLocal(m *Rank, sendBuf mem.Buffer, sdt *datatype.Datatyp
 	recvBuf mem.Buffer, rdt *datatype.Datatype, rcount, srcLocal int) {
 	lr := g.LocalRank(m)
 	tag := g.tagBlock(lr, 1)
-	p := m.p
-	var sreq, rreq *Request
-	if scount > 0 && int64(scount)*sdt.Size() > 0 {
-		sreq = m.isendOn(p, sendBuf, sdt, scount, g.ranks[destLocal], tag)
-	}
-	if rcount > 0 && int64(rcount)*rdt.Size() > 0 {
-		rreq = m.Irecv(recvBuf, rdt, rcount, g.ranks[srcLocal], tag)
-	}
-	if sreq != nil {
-		sreq.Wait(p)
-	}
-	if rreq != nil {
-		rreq.Wait(p)
-	}
+	m.sendRecv(m.p, tag, sendBuf, sdt, scount, g.ranks[destLocal], recvBuf, rdt, rcount, g.ranks[srcLocal])
 }

@@ -41,7 +41,7 @@ func TestGroupAllreduceOracle(t *testing.T) {
 	counts := []int{1037, 64, 3, 1} // uneven chunks, even, fewer than ranks, single
 	for _, sh := range shapes {
 		size := sh.nodes * sh.rpn
-		groups := [][]int{identityGroup(size)}
+		groups := [][]int{identityRanks(size)}
 		odd := []int{}
 		for r := 1; r < size; r += 2 {
 			odd = append(odd, r)
@@ -194,20 +194,7 @@ func TestGroupAlltoallv(t *testing.T) {
 	members := []int{0, 1, 3, 4, 5}
 	g := w.NewGroup(members)
 	size := g.Size()
-	// counts[i][j]: sender i -> receiver j, in float64 elements.
-	counts := make([][]int, size)
-	for i := range counts {
-		counts[i] = make([]int, size)
-		for j := range counts[i] {
-			if i == 2 { // silent sender
-				continue
-			}
-			counts[i][j] = (i*3+j*5)%7 + 1
-			if j == 1 && i != 0 {
-				counts[i][j] = 0 // nearly-silent receiver column
-			}
-		}
-	}
+	counts := skewedCounts(size)
 	w.Run(func(m *Rank) {
 		if !g.Contains(m.Rank()) {
 			return

@@ -11,9 +11,12 @@ import (
 // over the shared-memory/PCIe channels, and an inter-node phase in
 // which one leader per node (the node's first rank, or the collective
 // root acting for its own node) carries the aggregated traffic over
-// the IB tier. The flat algorithms in coll.go/coll2.go/reduce.go are
-// the fallback for every other layout and produce byte-identical
-// buffers; Proto.FlatCollectives forces them for differential testing.
+// the IB tier. Each phase is one of the shared schedules of schedule.go
+// run over a node's rank list (nodeGroup) or the leaders' (leaderGroup).
+// The flat algorithms — the same schedules over the world's identity
+// rank list — are the fallback for every other layout and produce
+// byte-identical buffers; Tuning.Collectives = CollFlat forces them for
+// differential testing.
 //
 // Tag discipline: every hierarchical phase draws its tags from the
 // block the caller reserved with tagBlock, and every rank reserves the
@@ -25,49 +28,12 @@ import (
 // algorithms.
 func (m *Rank) hierOn() bool { return m.w.TopologyAware() }
 
-// nodeGroup returns the ranks placed on the given node, in rank order.
+// nodeGroup returns the ranks placed on the given node, in rank order
+// (a window of the world's identity list; a rank's index in it is its
+// rank mod rpn).
 func (m *Rank) nodeGroup(node int) []int {
 	rpn := m.w.hier.rpn
-	g := make([]int, rpn)
-	for i := range g {
-		g[i] = node*rpn + i
-	}
-	return g
-}
-
-func groupIndex(group []int, rank int) int {
-	for i, r := range group {
-		if r == rank {
-			return i
-		}
-	}
-	panic("mpi: rank not in collective group")
-}
-
-// bcastBinomial broadcasts (buf, dt, count) from group[rootIdx] to the
-// other members of group over a binomial tree (the flat Bcast schedule
-// restricted to the group) on the given tag. Every member must call it.
-func (m *Rank) bcastBinomial(p *sim.Proc, group []int, rootIdx int, buf mem.Buffer, dt *datatype.Datatype, count, tag int) {
-	size := len(group)
-	if size <= 1 {
-		return
-	}
-	vrank := (groupIndex(group, m.rank) - rootIdx + size) % size
-	mask := 1
-	for mask < size {
-		if vrank&mask != 0 {
-			m.recvOn(p, buf, dt, count, group[((vrank-mask)+rootIdx)%size], tag)
-			break
-		}
-		mask <<= 1
-	}
-	mask >>= 1
-	for mask > 0 {
-		if vrank+mask < size && vrank&(mask-1) == 0 && vrank&mask == 0 {
-			m.sendOn(p, buf, dt, count, group[(vrank+mask+rootIdx)%size], tag)
-		}
-		mask >>= 1
-	}
+	return m.w.ids[node*rpn : (node+1)*rpn]
 }
 
 // actingLeader returns the rank speaking for node on the IB tier: the
@@ -80,7 +46,9 @@ func (m *Rank) actingLeader(node, root int) int {
 	return node * m.w.hier.rpn
 }
 
-// leaderGroup returns every node's acting leader, in node order.
+// leaderGroup returns every node's acting leader, in node order; a
+// leader's index in it is its node. leaderGroup(0) is every node's
+// first rank, the leader list of the rootless collectives.
 func (m *Rank) leaderGroup(root int) []int {
 	g := make([]int, m.w.hier.nodes)
 	for nd := range g {
@@ -97,12 +65,11 @@ func (m *Rank) hierBcast(p *sim.Proc, tag int, buf mem.Buffer, dt *datatype.Data
 	lead := m.actingLeader(myNode, root)
 	if m.rank == lead {
 		sp := p.BeginBytes("coll.bcast.inter", int64(count)*dt.Size())
-		m.bcastBinomial(p, m.leaderGroup(root), root/h.rpn, buf, dt, count, tag)
+		m.bcastBinomial(p, m.leaderGroup(root), myNode, root/h.rpn, tag, buf, dt, count)
 		sp.End()
 	}
 	sp := p.BeginBytes("coll.bcast.intra", int64(count)*dt.Size())
-	g := m.nodeGroup(myNode)
-	m.bcastBinomial(p, g, groupIndex(g, lead), buf, dt, count, tag+1)
+	m.bcastBinomial(p, m.nodeGroup(myNode), m.rank%h.rpn, lead%h.rpn, tag+1, buf, dt, count)
 	sp.End()
 }
 
@@ -149,26 +116,15 @@ func (m *Rank) hierAllgather(p *sim.Proc, tag int, buf mem.Buffer, dt *datatype.
 
 	// Phase 2: leaders ring aggregated node slabs over the IB tier.
 	if li == 0 && nnodes > 1 {
-		slab := func(node int) mem.Buffer {
-			return buf.Slice(int64(node)*int64(rpn)*stride, spanOf(dt, rpn*count))
-		}
 		sp := p.BeginBytes("coll.allgather.inter", packed*int64(rpn)*int64(nnodes-1))
-		right := (myNode + 1) % nnodes
-		left := (myNode - 1 + nnodes) % nnodes
-		for s := 0; s < nnodes-1; s++ {
-			sendBlk := (myNode - s + nnodes) % nnodes
-			recvBlk := (myNode - s - 1 + nnodes) % nnodes
-			sreq := m.isendOn(p, slab(sendBlk), dt, rpn*count, right*rpn, tagRing+s)
-			rreq := m.Irecv(slab(recvBlk), dt, rpn*count, left*rpn, tagRing+s)
-			sreq.Wait(p)
-			rreq.Wait(p)
-		}
+		slab := slots(buf, dt, rpn*count)
+		m.ring(p, m.leaderGroup(0), myNode, 0, tagRing, slab, slab, nil)
 		sp.End()
 	}
 
 	// Phase 3: broadcast the assembled buffer within each node.
 	sp = p.BeginBytes("coll.allgather.intra", packed*int64(size))
-	m.bcastBinomial(p, m.nodeGroup(myNode), 0, buf, dt, size*count, tagOut)
+	m.bcastBinomial(p, m.nodeGroup(myNode), li, 0, tagOut, buf, dt, size*count)
 	sp.End()
 }
 
@@ -229,38 +185,21 @@ func (m *Rank) hierAlltoall(p *sim.Proc, tag int, sendBuf mem.Buffer, sdt *datat
 	}
 	sp.End()
 
-	// Phase 2: pairwise exchange of per-node aggregates.
+	// Phase 2: pairwise exchange of per-node aggregates, the own
+	// node's block by local copy.
 	nodeBlk := int64(rpn) * int64(rpn) * B
-	sendTo := func(d int) (mem.Buffer, *datatype.Datatype) {
+	sendTo := func(d int) (mem.Buffer, *datatype.Datatype, int) {
 		base := int64(d) * int64(rpn) * B
 		span := int64(rpn-1)*P*B + int64(rpn)*B
-		return sendStage.Slice(base, span), datatype.Hvector(rpn, int(int64(rpn)*B), P*B, datatype.Byte)
+		return sendStage.Slice(base, span), datatype.Hvector(rpn, int(int64(rpn)*B), P*B, datatype.Byte), 1
 	}
-	inbound := func(s int) mem.Buffer {
-		return recvStage.Slice(int64(s)*nodeBlk, nodeBlk)
+	inbound := func(s int) (mem.Buffer, *datatype.Datatype, int) {
+		return recvStage.Slice(int64(s)*nodeBlk, nodeBlk), datatype.Byte, int(nodeBlk)
 	}
-	{
-		src, hv := sendTo(myNode)
-		m.localCopy(p, src, hv, 1, inbound(myNode), datatype.Byte, int(nodeBlk))
-	}
+	m.copyBlock(p, sendTo, inbound, myNode)
 	if nnodes > 1 {
 		sp := p.BeginBytes("coll.alltoall.inter", nodeBlk*int64(nnodes-1))
-		pow2 := nnodes&(nnodes-1) == 0
-		for s := 1; s < nnodes; s++ {
-			var dNode, sNode int
-			if pow2 {
-				dNode = myNode ^ s
-				sNode = dNode
-			} else {
-				dNode = (myNode + s) % nnodes
-				sNode = (myNode - s + nnodes) % nnodes
-			}
-			src, hv := sendTo(dNode)
-			sreq := m.isendOn(p, src, hv, 1, dNode*rpn, tagInter)
-			rreq := m.Irecv(inbound(sNode), datatype.Byte, int(nodeBlk), sNode*rpn, tagInter)
-			sreq.Wait(p)
-			rreq.Wait(p)
-		}
+		m.pairwise(p, m.leaderGroup(0), myNode, tagInter, sendTo, inbound)
 		sp.End()
 	}
 
@@ -306,13 +245,12 @@ func (m *Rank) hierReduce(p *sim.Proc, tag int, sendBuf, recvBuf mem.Buffer, dt 
 	}
 	m.localCopy(p, sendBuf, dt, count, acc, dt, count)
 
-	g := m.nodeGroup(myNode)
 	sp := p.BeginBytes("coll.reduce.intra", n)
-	m.binomialReduce(p, g, groupIndex(g, lead), acc, dt, count, prim, op, tag)
+	m.binomialReduce(p, m.nodeGroup(myNode), m.rank%h.rpn, lead%h.rpn, tag, acc, dt, count, prim, op)
 	sp.End()
 	if m.rank == lead {
 		sp := p.BeginBytes("coll.reduce.inter", n)
-		m.binomialReduce(p, m.leaderGroup(root), root/h.rpn, acc, dt, count, prim, op, tag+size)
+		m.binomialReduce(p, m.leaderGroup(root), myNode, root/h.rpn, tag+size, acc, dt, count, prim, op)
 		sp.End()
 	}
 	if m.rank != root {

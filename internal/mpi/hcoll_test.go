@@ -18,7 +18,11 @@ func blockedConfig(nodes, rpn int, flat bool) Config {
 	for r := 0; r < nodes*rpn; r++ {
 		ranks = append(ranks, Placement{Node: r / rpn, GPU: r % rpn})
 	}
-	return Config{Ranks: ranks, Proto: ProtoOptions{FlatCollectives: flat}}
+	tun := &Tuning{}
+	if flat {
+		tun.Collectives = CollFlat
+	}
+	return Config{Ranks: ranks, Tuning: tun}
 }
 
 func TestHierDispatchSelection(t *testing.T) {

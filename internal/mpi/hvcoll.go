@@ -89,27 +89,10 @@ func (m *Rank) hierAllgatherv(p *sim.Proc, tag int, buf mem.Buffer, counts, disp
 	// an all-zero node simply sits the step out on both sides.
 	if li == 0 && nnodes > 1 {
 		sp := p.BeginBytes("coll.allgatherv.inter", total-nodeBytes[myNode])
-		right := (myNode + 1) % nnodes
-		left := (myNode - 1 + nnodes) % nnodes
-		for s := 0; s < nnodes-1; s++ {
-			sendBlk := (myNode - s + nnodes) % nnodes
-			recvBlk := (myNode - s - 1 + nnodes) % nnodes
-			var sreq, rreq *Request
-			if nodeBytes[sendBlk] > 0 {
-				sreq = m.isendOn(p, stage.Slice(nodeOff[sendBlk], nodeBytes[sendBlk]),
-					datatype.Byte, int(nodeBytes[sendBlk]), right*rpn, tagRing+s)
-			}
-			if nodeBytes[recvBlk] > 0 {
-				rreq = m.Irecv(stage.Slice(nodeOff[recvBlk], nodeBytes[recvBlk]),
-					datatype.Byte, int(nodeBytes[recvBlk]), left*rpn, tagRing+s)
-			}
-			if sreq != nil {
-				sreq.Wait(p)
-			}
-			if rreq != nil {
-				rreq.Wait(p)
-			}
+		slab := func(nd int) (mem.Buffer, *datatype.Datatype, int) {
+			return stage.Slice(nodeOff[nd], nodeBytes[nd]), datatype.Byte, int(nodeBytes[nd])
 		}
+		m.ring(p, m.leaderGroup(0), myNode, 0, tagRing, slab, slab, nil)
 		sp.End()
 	}
 
@@ -117,7 +100,7 @@ func (m *Rank) hierAllgatherv(p *sim.Proc, tag int, buf mem.Buffer, counts, disp
 	// node; every rank unpacks the remote blocks into place (its own
 	// block is already there).
 	sp = p.BeginBytes("coll.allgatherv.intra", total)
-	m.bcastBinomial(p, m.nodeGroup(myNode), 0, stage.Slice(0, total), datatype.Byte, int(total), tagOut)
+	m.bcastBinomial(p, m.nodeGroup(myNode), li, 0, tagOut, stage.Slice(0, total), datatype.Byte, int(total))
 	for r := 0; r < size; r++ {
 		if r == m.rank || B[r] == 0 {
 			continue
@@ -317,11 +300,11 @@ func (m *Rank) hierAlltoallv(p *sim.Proc, tag int, sendBuf mem.Buffer, scounts, 
 
 	// outView carves the node-pair message for destination node nd out
 	// of the send stage: one run per member (its consecutive blocks for
-	// nd's ranks), zero runs elided.
-	outView := func(nd int) (mem.Buffer, *datatype.Datatype, int64) {
+	// nd's ranks), zero runs elided. inView is source node nd's slot of
+	// the receive stage.
+	outView := func(nd int) (mem.Buffer, *datatype.Datatype, int) {
 		var bls []int
 		var displs []int64
-		var total int64
 		for i := 0; i < rpn; i++ {
 			start := memOff[i] + prefS[i][nd*rpn]
 			n := prefS[i][(nd+1)*rpn] - prefS[i][nd*rpn]
@@ -330,20 +313,24 @@ func (m *Rank) hierAlltoallv(p *sim.Proc, tag int, sendBuf mem.Buffer, scounts, 
 			}
 			bls = append(bls, int(n))
 			displs = append(displs, start)
-			total += n
 		}
-		if total == 0 {
+		if len(bls) == 0 {
 			return mem.Buffer{}, nil, 0
 		}
-		return sendStage, datatype.Hindexed(bls, displs, datatype.Byte), total
+		return sendStage, datatype.Hindexed(bls, displs, datatype.Byte), 1
+	}
+	inView := func(nd int) (mem.Buffer, *datatype.Datatype, int) {
+		n := nodeIn(nd)
+		if n == 0 {
+			return mem.Buffer{}, datatype.Byte, 0
+		}
+		return recvStage.Slice(inNodeOff[nd], n), datatype.Byte, int(n)
 	}
 
 	// Phase 2: node-pair exchange. Own node first, then the pairwise
 	// schedule over the IB tier; zero-byte node pairs are skipped on
 	// both sides (the sender knows from SB, the receiver from RB).
-	if src, hv, n := outView(myNode); n > 0 {
-		m.localCopy(p, src, hv, 1, recvStage.Slice(inNodeOff[myNode], n), datatype.Byte, int(n))
-	}
+	m.copyBlock(p, outView, inView, myNode)
 	if nnodes > 1 {
 		var interBytes int64
 		for nd := 0; nd < nnodes; nd++ {
@@ -352,30 +339,7 @@ func (m *Rank) hierAlltoallv(p *sim.Proc, tag int, sendBuf mem.Buffer, scounts, 
 			}
 		}
 		sp := p.BeginBytes("coll.alltoallv.inter", interBytes)
-		pow2 := nnodes&(nnodes-1) == 0
-		for s := 1; s < nnodes; s++ {
-			var dNode, sNode int
-			if pow2 {
-				dNode = myNode ^ s
-				sNode = dNode
-			} else {
-				dNode = (myNode + s) % nnodes
-				sNode = (myNode - s + nnodes) % nnodes
-			}
-			var sreq, rreq *Request
-			if src, hv, n := outView(dNode); n > 0 {
-				sreq = m.isendOn(p, src, hv, 1, dNode*rpn, tagInter)
-			}
-			if n := nodeIn(sNode); n > 0 {
-				rreq = m.Irecv(recvStage.Slice(inNodeOff[sNode], n), datatype.Byte, int(n), sNode*rpn, tagInter)
-			}
-			if sreq != nil {
-				sreq.Wait(p)
-			}
-			if rreq != nil {
-				rreq.Wait(p)
-			}
-		}
+		m.pairwise(p, m.leaderGroup(0), myNode, tagInter, outView, inView)
 		sp.End()
 	}
 

@@ -129,34 +129,13 @@ func (m *Rank) Ialltoallv(sendBuf mem.Buffer, scounts, sdispls []int, sdt *datat
 	})
 }
 
-// Ibarrier is the nonblocking Barrier: a dissemination schedule over
-// reserved collective tags (the blocking Barrier's mailbox rendezvous
-// cannot overlap with itself, reserved tags can).
+// Ibarrier is the nonblocking Barrier: the dissemination schedule
+// Group.Barrier runs, over the world's ranks and reserved collective
+// tags (the blocking Barrier's mailbox rendezvous cannot overlap with
+// itself, reserved tags can).
 func (m *Rank) Ibarrier() *Request {
 	tag := m.tagBlock(m.barrierTags())
 	return m.startColl("barrier", 0, func(p *sim.Proc) {
-		m.dissemBarrier(p, tag)
+		m.dissemination(p, m.w.ids, m.rank, tag)
 	})
-}
-
-// dissemBarrier: round k exchanges a token with the ranks 2^k away; in
-// ceil(log2 size) rounds every rank has transitively heard from every
-// other.
-func (m *Rank) dissemBarrier(p *sim.Proc, tag int) {
-	size := m.Size()
-	if size == 1 {
-		return
-	}
-	buf := m.scratch(2)
-	defer m.freeScratch(buf)
-	round := 0
-	for mask := 1; mask < size; mask <<= 1 {
-		to := (m.rank + mask) % size
-		from := (m.rank - mask + size) % size
-		sreq := m.isendOn(p, buf.Slice(0, 1), datatype.Byte, 1, to, tag+round)
-		rreq := m.Irecv(buf.Slice(1, 1), datatype.Byte, 1, from, tag+round)
-		sreq.Wait(p)
-		rreq.Wait(p)
-		round++
-	}
 }

@@ -68,21 +68,21 @@ func TestQuickRandomTransfers(t *testing.T) {
 			{{Node: 0, GPU: 0}, {Node: 1, GPU: 0}},
 		}[r.Intn(3)]
 
-		proto := ProtoOptions{}
+		tun := &Tuning{}
 		switch r.Intn(4) {
 		case 0:
-			proto.FragBytes = int64(r.Intn(1<<19) + 4096)
+			tun.FragBytes = int64(r.Intn(1<<19) + 4096)
 		case 1:
-			proto.PipelineDepth = r.Intn(3) + 1
+			tun.PipelineDepth = r.Intn(3) + 1
 		case 2:
-			proto.EagerLimit = int64(r.Intn(1 << 18))
-			proto.DirectRemoteUnpack = r.Intn(2) == 0
+			tun.Eager = Eager(int64(r.Intn(1 << 18)))
+			tun.DirectRemoteUnpack = r.Intn(2) == 0
 		}
 
 		sGPU := r.Intn(2) == 0
 		rGPU := r.Intn(2) == 0
 
-		w := NewWorld(Config{Ranks: placements, Proto: proto})
+		w := NewWorld(Config{Ranks: placements, Tuning: tun})
 		var sbuf, rbuf mem.Buffer
 		w.Run(func(m *Rank) {
 			span := layoutSpan(dt, count)
@@ -106,8 +106,8 @@ func TestQuickRandomTransfers(t *testing.T) {
 		want := cpuPack(dt, count, sbuf.Bytes())
 		got := cpuPack(dt, count, rbuf.Bytes())
 		if !bytes.Equal(want, got) {
-			t.Logf("seed %d: dt=%s count=%d placements=%v sGPU=%v rGPU=%v proto=%+v",
-				seed, dt.Name(), count, placements, sGPU, rGPU, proto)
+			t.Logf("seed %d: dt=%s count=%d placements=%v sGPU=%v rGPU=%v tuning=%+v",
+				seed, dt.Name(), count, placements, sGPU, rGPU, *tun)
 			return false
 		}
 		return true

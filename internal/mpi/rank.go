@@ -40,7 +40,6 @@ type Rank struct {
 	ringPool       map[*mem.Space][]mem.Buffer
 	ringOut        int64 // ring buffers handed out, not yet returned
 
-	barrierSeq int
 	collSeq    int
 	winSeq     int
 	barrierBox *sim.Mailbox
@@ -191,7 +190,6 @@ func (m *Rank) SendRecv(
 // Barrier blocks until every rank has entered it (linear gather/release
 // through rank 0; adequate for the benchmark harness).
 func (m *Rank) Barrier() {
-	m.barrierSeq++
 	if m.Size() == 1 {
 		return
 	}

@@ -48,7 +48,6 @@ func (m *Rank) reduce(p *sim.Proc, tag int, sendBuf, recvBuf mem.Buffer, dt *dat
 func (m *Rank) reduceFlat(p *sim.Proc, tag int, sendBuf, recvBuf mem.Buffer, dt *datatype.Datatype, count int, op Op, root int) {
 	prim := reducePrim(dt)
 	n := int64(count) * dt.Size()
-	size := m.Size()
 
 	// Accumulator: root accumulates into recvBuf; interior nodes use a
 	// scratch in the same location class as their send buffer.
@@ -61,53 +60,34 @@ func (m *Rank) reduceFlat(p *sim.Proc, tag int, sendBuf, recvBuf mem.Buffer, dt 
 		acc = m.scratch(n).Slice(0, n)
 	}
 	m.localCopy(p, sendBuf, dt, count, acc, dt, count)
-	m.binomialReduce(p, identityGroup(size), root, acc, dt, count, prim, op, tag)
+	m.binomialReduce(p, m.w.ids, m.rank, root, tag, acc, dt, count, prim, op)
 	if m.rank != root {
 		m.releaseAccum(acc)
 	}
 }
 
-// identityGroup returns [0, 1, ..., size).
-func identityGroup(size int) []int {
-	g := make([]int, size)
-	for i := range g {
-		g[i] = i
-	}
-	return g
-}
-
-// binomialReduce combines every group member's acc — already holding
-// its contribution — into group[rootIdx]'s acc, over a binomial tree
-// rotated so the root is virtual rank 0. Per-child messages are tagged
-// tag + sender's global rank. Only ranks in group may call it, and all
-// of them must.
-func (m *Rank) binomialReduce(p *sim.Proc, group []int, rootIdx int, acc mem.Buffer, dt *datatype.Datatype, count int, prim datatype.Primitive, op Op, tag int) {
-	size := len(group)
+// binomialReduce combines every member's acc — already holding its
+// contribution — into ranks[root]'s acc, over the binomial tree of
+// bcastBinomial run in reverse (rotated so the root is virtual rank 0).
+// me is the caller's index in ranks. Per-child messages are tagged
+// tag + sender's global rank. Every member must call it.
+func (m *Rank) binomialReduce(p *sim.Proc, ranks []int, me, root, tag int, acc mem.Buffer, dt *datatype.Datatype, count int, prim datatype.Primitive, op Op) {
+	size := len(ranks)
 	if size <= 1 {
 		return
 	}
-	me := -1
-	for i, r := range group {
-		if r == m.rank {
-			me = i
-			break
-		}
-	}
-	if me < 0 {
-		panic("mpi: binomialReduce caller not in group")
-	}
 	n := acc.Len()
 	var tmp mem.Buffer
-	vrank := (me - rootIdx + size) % size
+	vrank := (me - root + size) % size
 	mask := 1
 	for mask < size {
 		if vrank&mask != 0 {
-			parent := group[((vrank&^mask)+rootIdx)%size]
+			parent := ranks[((vrank&^mask)+root)%size]
 			m.sendOn(p, acc, dt, count, parent, tag+m.rank)
 			break
 		}
 		if peer := vrank | mask; peer < size {
-			child := group[(peer+rootIdx)%size]
+			child := ranks[(peer+root)%size]
 			if !tmp.IsValid() {
 				if acc.Kind() == mem.Device {
 					tmp = m.ringBuf(acc.Space(), n).Slice(0, n)

@@ -53,9 +53,9 @@ func (m *Rank) switchReduce(p *sim.Proc, tag int, sendBuf, recvBuf mem.Buffer, d
 	}
 	m.localCopy(p, sendBuf, dt, count, acc, dt, count)
 
-	g := m.nodeGroup(myNode)
+	g, li := m.nodeGroup(myNode), m.rank%h.rpn
 	sp := p.BeginBytes("coll.reduce.intra", n)
-	m.binomialReduce(p, g, groupIndex(g, lead), acc, dt, count, prim, op, tag)
+	m.binomialReduce(p, g, li, lead%h.rpn, tag, acc, dt, count, prim, op)
 	sp.End()
 
 	if m.rank == lead {
@@ -78,7 +78,7 @@ func (m *Rank) switchReduce(p *sim.Proc, tag int, sendBuf, recvBuf mem.Buffer, d
 	}
 	if all {
 		sp := p.BeginBytes("coll.bcast.intra", n)
-		m.bcastBinomial(p, g, groupIndex(g, lead), acc, dt, count, allTag)
+		m.bcastBinomial(p, g, li, lead%h.rpn, allTag, acc, dt, count)
 		sp.End()
 	}
 	if !all && m.rank != root {

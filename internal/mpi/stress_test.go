@@ -11,10 +11,17 @@ import (
 )
 
 // TestExtremeProtoOptions drives the protocols far from their defaults:
-// one-slot pipelines, tiny fragments, zero eager limit.
+// one-slot pipelines, tiny fragments, tiny eager limit. Each case is
+// named by the knobs it sets; EagerLimit 0 means the default.
 func TestExtremeProtoOptions(t *testing.T) {
+	type knobs struct {
+		EagerLimit         int64
+		FragBytes          int64
+		PipelineDepth      int
+		DirectRemoteUnpack bool
+	}
 	dt := shapes.LowerTriangular(192)
-	for _, proto := range []ProtoOptions{
+	for _, k := range []knobs{
 		{PipelineDepth: 1},
 		{FragBytes: 4096},
 		{FragBytes: 4096, PipelineDepth: 1},
@@ -23,10 +30,13 @@ func TestExtremeProtoOptions(t *testing.T) {
 		{FragBytes: 1 << 26},                 // one fragment for the whole message
 		{FragBytes: 4096, PipelineDepth: 16}, // deep, fine-grained
 	} {
-		proto := proto
-		t.Run(fmt.Sprintf("%+v", proto), func(t *testing.T) {
+		tun := &Tuning{FragBytes: k.FragBytes, PipelineDepth: k.PipelineDepth, DirectRemoteUnpack: k.DirectRemoteUnpack}
+		if k.EagerLimit != 0 {
+			tun.Eager = Eager(k.EagerLimit)
+		}
+		t.Run(fmt.Sprintf("%+v", k), func(t *testing.T) {
 			for _, cfg := range []Config{twoRanksSameGPU(), twoRanksTwoGPUs(), twoNodes()} {
-				cfg.Proto = proto
+				cfg.Tuning = tun
 				s, r, _ := runXfer(t, xferSpec{cfg: cfg, sendDt: dt, count: 1, sGPU: true, rGPU: true})
 				if !bytes.Equal(s, r) {
 					t.Fatal("payload mismatch")

@@ -2,20 +2,15 @@ package mpi
 
 import "gpuddt/internal/sim"
 
-// Tuning is the one typed bundle of protocol knobs a world runs under.
-// It replaces the scattered surface of ProtoOptions, Config.Strategy
-// and FlatCollectives: benchmarks and tools construct a Tuning (by
-// hand, or by loading a persisted tuning table through cluster.Spec)
-// and install it as Config.Tuning; everything else reads the resolved
-// values. Zero fields select the same defaults the legacy ProtoOptions
-// resolved to, so a nil or empty Tuning is byte-identical to the seed
-// behavior.
+// Tuning is the one typed bundle of protocol knobs a world runs under:
+// benchmarks and tools construct a Tuning (by hand, or by loading a
+// persisted tuning table through cluster.Spec) and install it as
+// Config.Tuning; everything else reads the resolved values. Zero fields
+// select the defaults, so a nil and an empty Tuning are the same world.
 type Tuning struct {
 	// Eager bounds the packed size sent eagerly. nil means the default
-	// (64 KiB); Eager(0) genuinely forces rendezvous for every message.
-	// The pointer removes the legacy setDefaults ambiguity where an
-	// explicit 0 was indistinguishable from "unset" (chaos tests had to
-	// write EagerLimit: 1 to approximate force-rendezvous).
+	// (64 KiB); Eager(0) genuinely forces rendezvous for every message
+	// (the pointer keeps an explicit 0 distinct from "unset").
 	Eager *int64
 
 	// FragBytes is the pipeline fragment size (0 = 1 MiB).
@@ -52,8 +47,7 @@ type CollMode int
 
 const (
 	// CollAuto runs the hierarchical algorithms wherever the rank
-	// layout supports them (the default, identical to the legacy
-	// behavior without FlatCollectives).
+	// layout supports them (the default).
 	CollAuto CollMode = iota
 
 	// CollFlat forces the topology-blind algorithms everywhere; the
@@ -114,10 +108,8 @@ type resolvedTuning struct {
 	strategy           Strategy
 }
 
-// resolveTuning folds Config.Tuning — or, when that is nil, the
-// deprecated ProtoOptions/Strategy/FlatCollectives shim — into the
-// concrete knob set. The defaults here are the exact values the legacy
-// setDefaults produced, so worlds built either way are byte-identical.
+// resolveTuning folds Config.Tuning into the concrete knob set,
+// applying the defaults to every unset field.
 func resolveTuning(cfg *Config) resolvedTuning {
 	r := resolvedTuning{
 		eager:           64 << 10,
@@ -125,54 +117,31 @@ func resolveTuning(cfg *Config) resolvedTuning {
 		depth:           4,
 		amLatency:       500 * sim.Nanosecond,
 		remoteAccessEff: 0.7,
+		strategy:        &PipelinedStrategy{},
 	}
-	if t := cfg.Tuning; t != nil {
-		if t.Eager != nil {
-			r.eager = *t.Eager
-		}
-		if t.FragBytes != 0 {
-			r.frag = t.FragBytes
-		}
-		if t.PipelineDepth != 0 {
-			r.depth = t.PipelineDepth
-		}
-		r.directRemoteUnpack = t.DirectRemoteUnpack
-		if t.AMLatency != 0 {
-			r.amLatency = t.AMLatency
-		}
-		if t.RemoteAccessEff != 0 {
-			r.remoteAccessEff = t.RemoteAccessEff
-		}
-		r.coll = t.Collectives
+	t := cfg.Tuning
+	if t == nil {
+		return r
+	}
+	if t.Eager != nil {
+		r.eager = *t.Eager
+	}
+	if t.FragBytes != 0 {
+		r.frag = t.FragBytes
+	}
+	if t.PipelineDepth != 0 {
+		r.depth = t.PipelineDepth
+	}
+	r.directRemoteUnpack = t.DirectRemoteUnpack
+	if t.AMLatency != 0 {
+		r.amLatency = t.AMLatency
+	}
+	if t.RemoteAccessEff != 0 {
+		r.remoteAccessEff = t.RemoteAccessEff
+	}
+	r.coll = t.Collectives
+	if t.Strategy != nil {
 		r.strategy = t.Strategy
-		if r.strategy == nil {
-			r.strategy = cfg.Strategy
-		}
-	} else {
-		o := cfg.Proto
-		if o.EagerLimit != 0 {
-			r.eager = o.EagerLimit
-		}
-		if o.FragBytes != 0 {
-			r.frag = o.FragBytes
-		}
-		if o.PipelineDepth != 0 {
-			r.depth = o.PipelineDepth
-		}
-		r.directRemoteUnpack = o.DirectRemoteUnpack
-		if o.AMLatency != 0 {
-			r.amLatency = o.AMLatency
-		}
-		if o.RemoteAccessEff != 0 {
-			r.remoteAccessEff = o.RemoteAccessEff
-		}
-		if o.FlatCollectives {
-			r.coll = CollFlat
-		}
-		r.strategy = cfg.Strategy
-	}
-	if r.strategy == nil {
-		r.strategy = &PipelinedStrategy{}
 	}
 	return r
 }

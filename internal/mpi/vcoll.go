@@ -54,45 +54,9 @@ func (m *Rank) alltoallv(p *sim.Proc, tag int, sendBuf mem.Buffer, scounts, sdis
 		m.hierAlltoallv(p, tag, sendBuf, scounts, sdispls, sdt, recvBuf, rcounts, rdispls, rdt)
 		return
 	}
-	m.alltoallvFlat(p, tag, sendBuf, scounts, sdispls, sdt, recvBuf, rcounts, rdispls, rdt)
-}
-
-// alltoallvFlat is the pairwise exchange with zero pairs elided.
-func (m *Rank) alltoallvFlat(p *sim.Proc, tag int, sendBuf mem.Buffer, scounts, sdispls []int, sdt *datatype.Datatype,
-	recvBuf mem.Buffer, rcounts, rdispls []int, rdt *datatype.Datatype) {
-	size := m.Size()
-
-	// Local block first.
-	if int64(scounts[m.rank])*sdt.Size() > 0 {
-		m.localCopy(p,
-			vslot(sendBuf, sdt, scounts[m.rank], sdispls[m.rank]), sdt, scounts[m.rank],
-			vslot(recvBuf, rdt, rcounts[m.rank], rdispls[m.rank]), rdt, rcounts[m.rank])
-	}
-
-	pow2 := size&(size-1) == 0
-	for s := 1; s < size; s++ {
-		var sendTo, recvFrom int
-		if pow2 {
-			sendTo = m.rank ^ s
-			recvFrom = sendTo
-		} else {
-			sendTo = (m.rank + s) % size
-			recvFrom = (m.rank - s + size) % size
-		}
-		var sreq, rreq *Request
-		if int64(scounts[sendTo])*sdt.Size() > 0 {
-			sreq = m.isendOn(p, vslot(sendBuf, sdt, scounts[sendTo], sdispls[sendTo]), sdt, scounts[sendTo], sendTo, tag)
-		}
-		if int64(rcounts[recvFrom])*rdt.Size() > 0 {
-			rreq = m.Irecv(vslot(recvBuf, rdt, rcounts[recvFrom], rdispls[recvFrom]), rdt, rcounts[recvFrom], recvFrom, tag)
-		}
-		if sreq != nil {
-			sreq.Wait(p)
-		}
-		if rreq != nil {
-			rreq.Wait(p)
-		}
-	}
+	send, recv := vblocks(sendBuf, sdt, scounts, sdispls), vblocks(recvBuf, rdt, rcounts, rdispls)
+	m.copyBlock(p, send, recv, m.rank)
+	m.pairwise(p, m.w.ids, m.rank, tag, send, recv)
 }
 
 // Allgatherv gathers counts[r] elements of dt from every rank r (read
@@ -109,37 +73,8 @@ func (m *Rank) allgatherv(p *sim.Proc, tag int, buf mem.Buffer, counts, displs [
 		m.hierAllgatherv(p, tag, buf, counts, displs, dt)
 		return
 	}
-	m.allgathervFlat(p, tag, buf, counts, displs, dt)
-}
-
-// allgathervFlat is the ring algorithm with zero blocks elided: in step
-// s the rank forwards block (rank-s) to the right and receives block
-// (rank-s-1) from the left; a zero block is simply not sent, and the
-// neighbour — holding the same count vector — does not post for it.
-func (m *Rank) allgathervFlat(p *sim.Proc, tag int, buf mem.Buffer, counts, displs []int, dt *datatype.Datatype) {
-	size := m.Size()
-	if size == 1 {
-		return
-	}
-	right := (m.rank + 1) % size
-	left := (m.rank - 1 + size) % size
-	for s := 0; s < size-1; s++ {
-		sendBlk := (m.rank - s + size) % size
-		recvBlk := (m.rank - s - 1 + size) % size
-		var sreq, rreq *Request
-		if int64(counts[sendBlk])*dt.Size() > 0 {
-			sreq = m.isendOn(p, vslot(buf, dt, counts[sendBlk], displs[sendBlk]), dt, counts[sendBlk], right, tag+s)
-		}
-		if int64(counts[recvBlk])*dt.Size() > 0 {
-			rreq = m.Irecv(vslot(buf, dt, counts[recvBlk], displs[recvBlk]), dt, counts[recvBlk], left, tag+s)
-		}
-		if sreq != nil {
-			sreq.Wait(p)
-		}
-		if rreq != nil {
-			rreq.Wait(p)
-		}
-	}
+	blk := vblocks(buf, dt, counts, displs)
+	m.ring(p, m.w.ids, m.rank, 0, tag, blk, blk, nil)
 }
 
 // Gatherv collects each rank's (sendBuf, sdt, scount) into root's
@@ -149,30 +84,37 @@ func (m *Rank) allgathervFlat(p *sim.Proc, tag int, buf mem.Buffer, counts, disp
 // knows the irregular layout, which rules out leader staging.
 func (m *Rank) Gatherv(sendBuf mem.Buffer, sdt *datatype.Datatype, scount int,
 	recvBuf mem.Buffer, rcounts, rdispls []int, rdt *datatype.Datatype, root int) {
-	m.gatherv(m.p, m.tagBlock(m.gatherTags()), sendBuf, sdt, scount, recvBuf, rcounts, rdispls, rdt, root)
+	tag := m.tagBlock(m.gatherTags())
+	if m.rank == root {
+		checkVArgs("Gatherv", m.Size(), rcounts, rdispls)
+	}
+	m.gatherv(m.p, tag, sendBuf, sdt, scount, vblocks(recvBuf, rdt, rcounts, rdispls), root)
 }
 
+// gatherv is the linear gather: every other rank sends its block to
+// the root on tag + its rank; the root posts one receive per rank in
+// rank order (its own block by local copy) and then waits for them in
+// the same order. Empty blocks move nothing.
 func (m *Rank) gatherv(p *sim.Proc, tag int, sendBuf mem.Buffer, sdt *datatype.Datatype, scount int,
-	recvBuf mem.Buffer, rcounts, rdispls []int, rdt *datatype.Datatype, root int) {
+	recv blockView, root int) {
 	size := m.Size()
 	if m.rank != root {
-		if int64(scount)*sdt.Size() > 0 {
+		if carries(sdt, scount) {
 			m.sendOn(p, sendBuf, sdt, scount, root, tag+m.rank)
 		}
 		return
 	}
-	checkVArgs("Gatherv", size, rcounts, rdispls)
 	reqs := make([]*Request, 0, size-1)
 	for r := 0; r < size; r++ {
-		if int64(rcounts[r])*rdt.Size() == 0 {
+		slot, rdt, rcount := recv(r)
+		if !carries(rdt, rcount) {
 			continue
 		}
-		slot := vslot(recvBuf, rdt, rcounts[r], rdispls[r])
 		if r == root {
-			m.localCopy(p, sendBuf, sdt, scount, slot, rdt, rcounts[r])
+			m.localCopy(p, sendBuf, sdt, scount, slot, rdt, rcount)
 			continue
 		}
-		reqs = append(reqs, m.Irecv(slot, rdt, rcounts[r], r, tag+r))
+		reqs = append(reqs, m.Irecv(slot, rdt, rcount, r, tag+r))
 	}
 	for _, rq := range reqs {
 		rq.Wait(p)
@@ -183,30 +125,36 @@ func (m *Rank) gatherv(p *sim.Proc, tag int, sendBuf mem.Buffer, sdt *datatype.D
 // at sdispls[r] to rank r's recvBuf. Only the root reads the vectors.
 func (m *Rank) Scatterv(sendBuf mem.Buffer, scounts, sdispls []int, sdt *datatype.Datatype,
 	recvBuf mem.Buffer, rdt *datatype.Datatype, rcount, root int) {
-	m.scatterv(m.p, m.tagBlock(m.gatherTags()), sendBuf, scounts, sdispls, sdt, recvBuf, rdt, rcount, root)
+	tag := m.tagBlock(m.gatherTags())
+	if m.rank == root {
+		checkVArgs("Scatterv", m.Size(), scounts, sdispls)
+	}
+	m.scatterv(m.p, tag, vblocks(sendBuf, sdt, scounts, sdispls), recvBuf, rdt, rcount, root)
 }
 
-func (m *Rank) scatterv(p *sim.Proc, tag int, sendBuf mem.Buffer, scounts, sdispls []int, sdt *datatype.Datatype,
+// scatterv is the linear scatter, the mirror of gatherv: the root posts
+// one send per rank in rank order on tag + the destination rank (its
+// own block by local copy) and then waits for them in order.
+func (m *Rank) scatterv(p *sim.Proc, tag int, send blockView,
 	recvBuf mem.Buffer, rdt *datatype.Datatype, rcount, root int) {
 	size := m.Size()
 	if m.rank != root {
-		if int64(rcount)*rdt.Size() > 0 {
+		if carries(rdt, rcount) {
 			m.recvOn(p, recvBuf, rdt, rcount, root, tag+m.rank)
 		}
 		return
 	}
-	checkVArgs("Scatterv", size, scounts, sdispls)
 	reqs := make([]*Request, 0, size-1)
 	for r := 0; r < size; r++ {
-		if int64(scounts[r])*sdt.Size() == 0 {
+		slot, sdt, scount := send(r)
+		if !carries(sdt, scount) {
 			continue
 		}
-		slot := vslot(sendBuf, sdt, scounts[r], sdispls[r])
 		if r == root {
-			m.localCopy(p, slot, sdt, scounts[r], recvBuf, rdt, rcount)
+			m.localCopy(p, slot, sdt, scount, recvBuf, rdt, rcount)
 			continue
 		}
-		reqs = append(reqs, m.isendOn(p, slot, sdt, scounts[r], r, tag+r))
+		reqs = append(reqs, m.isendOn(p, slot, sdt, scount, r, tag+r))
 	}
 	for _, rq := range reqs {
 		rq.Wait(p)

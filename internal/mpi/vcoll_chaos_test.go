@@ -15,8 +15,8 @@ import (
 // inside v-variant staging and nonblocking schedules.
 func vchaosConfig(plan *fault.Plan) Config {
 	cfg := blockedConfig(2, 2, false)
-	cfg.Proto.EagerLimit = 1
-	cfg.Proto.FragBytes = 8 << 10
+	cfg.Tuning.Eager = Eager(0)
+	cfg.Tuning.FragBytes = 8 << 10
 	cfg.Faults = plan
 	return cfg
 }

@@ -14,6 +14,7 @@ package shmem
 import (
 	"fmt"
 
+	"gpuddt/internal/cluster"
 	"gpuddt/internal/datatype"
 	"gpuddt/internal/mem"
 	"gpuddt/internal/mpi"
@@ -21,15 +22,14 @@ import (
 
 // Config sizes the job.
 type Config struct {
-	// Ranks places each PE (as in mpi.Config).
-	Ranks []mpi.Placement
+	// Spec is the machine: one PE per rank of the spec's blocked
+	// placement, on its hardware and tuning.
+	Spec cluster.Spec
 	// HeapBytes is the symmetric heap size per PE (default 256 MiB).
 	HeapBytes int64
 	// HeapOnHost places the symmetric heap in host memory instead of
 	// the PE's GPU.
 	HeapOnHost bool
-	// MPI passes through the underlying runtime configuration.
-	MPI mpi.Config
 }
 
 // PE is one processing element.
@@ -53,9 +53,7 @@ func Run(cfg Config, fn func(pe *PE)) {
 	if cfg.HeapBytes == 0 {
 		cfg.HeapBytes = 256 << 20
 	}
-	mcfg := cfg.MPI
-	mcfg.Ranks = cfg.Ranks
-	w := mpi.NewWorld(mcfg)
+	w := mpi.NewWorld(cfg.Spec.Config())
 	w.Run(func(m *mpi.Rank) {
 		var heap mem.Buffer
 		if cfg.HeapOnHost {

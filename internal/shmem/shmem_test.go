@@ -4,19 +4,17 @@ import (
 	"bytes"
 	"testing"
 
+	"gpuddt/internal/cluster"
 	"gpuddt/internal/datatype"
 	"gpuddt/internal/mem"
-	"gpuddt/internal/mpi"
 	"gpuddt/internal/shapes"
 )
 
-func twoPEs() Config {
-	return Config{Ranks: []mpi.Placement{{Node: 0, GPU: 0}, {Node: 0, GPU: 1}}}
-}
+func twoPEs() Config { return Config{Spec: cluster.TwoGPU()} }
+
+// fourPEs is two nodes of two GPUs, one PE per GPU.
 func fourPEs() Config {
-	return Config{Ranks: []mpi.Placement{
-		{Node: 0, GPU: 0}, {Node: 0, GPU: 1}, {Node: 1, GPU: 0}, {Node: 1, GPU: 1},
-	}}
+	return Config{Spec: cluster.Spec{Nodes: 2, GPUsPerNode: 2, RanksPerNode: 2}}
 }
 
 func TestSymmetricAddressesMatch(t *testing.T) {
